@@ -1,4 +1,4 @@
-"""Reconstructed experiments R1–R11 (see DESIGN.md §4 for the index).
+"""Reconstructed experiments R1–R23 (see DESIGN.md §4 for the index).
 
 Each module exposes ``run(quick=True) -> ExperimentResult``.  ``quick``
 trims sweep points and repetition counts so the pytest-benchmark suite
@@ -57,4 +57,4 @@ ALL = {
     "r23": r23_am,
 }
 
-__all__ = ["ALL"] + [f"r{i}_{n}" for i, n in []]
+__all__ = ["ALL"]

@@ -17,7 +17,7 @@ from .fabric.topology import Topology, make_topology
 from .obs.registry import MetricsRegistry
 from .sim.core import Environment, Process
 from .sim.rng import RngRegistry
-from .sim.trace import DEFAULT_TRACE_CAP, Counters, Tracer
+from .sim.trace import DEFAULT_TRACE_CAP, Tracer
 from .util.units import MiB
 from .verbs.device import Context, Directory
 
@@ -39,21 +39,20 @@ class Cluster:
 
     def __init__(self, env: Environment, params: FabricParams,
                  topology: Topology, ranks: List[RankNode],
-                 directory: Directory, counters: Counters, tracer: Tracer,
-                 rng: RngRegistry, metrics: Optional[MetricsRegistry] = None):
+                 directory: Directory, tracer: Tracer, rng: RngRegistry,
+                 metrics: Optional[MetricsRegistry] = None):
         self.env = env
         self.params = params
         self.topology = topology
         self.ranks = ranks
         self.directory = directory
-        #: cluster-wide aggregate counters (the metrics registry's mirror
-        #: target) — names and values identical to the pre-registry era
-        self.counters = counters
         self.tracer = tracer
         self.rng = rng
         #: per-rank metrics registry (scoped counters, histograms, spans)
         self.metrics = metrics if metrics is not None \
-            else MetricsRegistry(len(ranks), aggregate=counters)
+            else MetricsRegistry(len(ranks))
+        #: cluster-wide counter totals, derived read-only from the scopes
+        self.counters = self.metrics.aggregate
 
     def scope(self, rank: int):
         """The per-rank counter scope (see :class:`repro.obs.registry`)."""
@@ -112,11 +111,6 @@ def build_cluster(n: int,
         params = params.with_overrides(**overrides)
     env = Environment()
     metrics = MetricsRegistry(n, spans_enabled=spans)
-    # Every component writes through a scope; the registry mirrors each
-    # write into this aggregate, so ``cluster.counters`` stays identical
-    # to the old shared-Counters object (the golden-trace suite hashes it)
-    # while per-rank attribution becomes available via ``cluster.metrics``.
-    counters = metrics.aggregate
     tracer = Tracer(enabled=trace, max_records=trace_max_records)
     rng = RngRegistry(seed)
     topo = make_topology(topology or params.topology, env, n,
@@ -129,5 +123,5 @@ def build_cluster(n: int,
         nic = Nic(env, r, params, memory, topo, scope, tracer)
         context = Context(env, r, nic, memory, params, directory, scope)
         ranks.append(RankNode(rank=r, memory=memory, nic=nic, context=context))
-    return Cluster(env, params, topo, ranks, directory, counters, tracer, rng,
+    return Cluster(env, params, topo, ranks, directory, tracer, rng,
                    metrics=metrics)

@@ -127,7 +127,7 @@ class Engine:
         self.env: Environment = cluster.env
         self.context = node.context
         self.memory = node.memory
-        # this rank's counter scope: writes mirror into cluster.counters
+        # this rank's counter scope; cluster.counters sums the scopes
         self.counters = cluster.scope(node.rank)
         self.pd = self.context.alloc_pd()
         depth = cluster.n * (config.eager_credits + config.prepost) * 2 + 256

@@ -3,16 +3,13 @@
 This is the observability core the rest of the stack hangs off
 (``photon_get_dev_stats`` analogue, grown into a real subsystem):
 
-- **Counters** are written through :class:`ScopedCounters` views — one per
+- **Counters** are written through :class:`ScopedCounters` — one per
   rank plus one ``fabric`` scope for hardware shared between ranks (links,
-  switches).  Every ``add`` lands in the scope *and* is mirrored into the
-  cluster-wide :class:`~repro.sim.trace.Counters` aggregate, so the
-  aggregate stays bit-identical to the historical shared-``Counters``
-  behaviour (the golden-trace suite hashes it) while per-rank attribution
-  becomes possible for the first time.  The invariant
-  ``sum(scopes) == aggregate`` holds whenever all writers go through
-  scopes; :meth:`MetricsRegistry.attribution_gaps` reports any names
-  written directly into the aggregate.
+  switches).  The scopes are the only counter store: the cluster-wide
+  :class:`AggregateView` (``cluster.counters``) is derived from them on
+  every read — the sum over scopes, or the max for ``set_max`` names —
+  so it cannot drift from them, and it is read-only, so nothing can
+  write around them.
 - **Gauges** are last-value-wins per scope (queue depths, occupancy).
 - **Histograms** are fixed-bucket (power-of-two upper bounds), so memory
   is bounded no matter how many values are observed.
@@ -36,8 +33,8 @@ from typing import Deque, Dict, List, Optional
 
 from ..sim.trace import Counters
 
-__all__ = ["MetricsRegistry", "ScopedCounters", "Histogram", "Span",
-           "FABRIC_SCOPE", "DEFAULT_SPAN_CAP"]
+__all__ = ["MetricsRegistry", "ScopedCounters", "AggregateView",
+           "Histogram", "Span", "FABRIC_SCOPE", "DEFAULT_SPAN_CAP"]
 
 #: scope label for non-rank-attributable hardware (links, switch ports)
 FABRIC_SCOPE = "fabric"
@@ -77,17 +74,17 @@ class Histogram:
 
     def quantile(self, q: float) -> Optional[float]:
         """Approximate quantile: the upper bound of the bucket holding the
-        q-th observation (exact raw values come from span records)."""
+        q-th observation, clamped to the observed ``[min, max]`` (exact
+        raw values come from span records)."""
         if not self.count:
             return None
         target = q * self.count
         seen = 0
-        for i, n in enumerate(self.counts):
+        for i, n in enumerate(self.counts[:-1]):
             seen += n
             if seen >= target:
-                return float(_BUCKET_BOUNDS[i]) if i < len(_BUCKET_BOUNDS) \
-                    else float(self.max)
-        return float(self.max)  # pragma: no cover - defensive
+                return float(min(max(_BUCKET_BOUNDS[i], self.min), self.max))
+        return float(self.max)  # the overflow bucket
 
     def snapshot(self) -> Dict[str, object]:
         buckets = {str(_BUCKET_BOUNDS[i]): n
@@ -140,7 +137,7 @@ class Span:
 
 
 class ScopedCounters(Counters):
-    """Per-scope counter view that mirrors every write into the aggregate.
+    """Per-scope counter store (one per rank, one for the fabric).
 
     API-compatible with :class:`~repro.sim.trace.Counters` (components
     take either), plus live gauge/histogram/span recording.
@@ -151,29 +148,14 @@ class ScopedCounters(Counters):
         self.registry = registry
         #: rank number, or :data:`FABRIC_SCOPE`
         self.label = label
-        self._agg = registry.aggregate.values
         self.gauges: Dict[str, float] = {}
         self.histograms: Dict[str, Histogram] = {}
 
     # ------------------------------------------------------------- counters
-    def add(self, name: str, amount: int = 1) -> None:
-        self.values[name] += amount
-        self._agg[name] += amount
-
     def set_max(self, name: str, value: int) -> None:
+        # the aggregate takes the max over scopes for these names, not the sum
         self.registry._max_names.add(name)
-        if value > self.values.get(name, 0):
-            self.values[name] = value
-        if value > self._agg.get(name, 0):
-            self._agg[name] = value
-
-    def clear(self) -> None:
-        """Clear this scope, subtracting its contribution from the
-        aggregate so the mirror invariant survives."""
-        self._agg.subtract(self.values)
-        for name in [n for n, v in self._agg.items() if v == 0]:
-            del self._agg[name]
-        self.values.clear()
+        super().set_max(name, value)
 
     # ------------------------------------------------------------- gauges
     def set_gauge(self, name: str, value: float) -> None:
@@ -209,13 +191,45 @@ class ScopedCounters(Counters):
         }
 
 
+class AggregateView:
+    """Read-only cluster-wide counters, derived from the scopes on read.
+
+    Each name is the sum over all rank scopes plus the fabric scope, or
+    the max over them for names written with ``set_max``.  ``values``
+    and ``snapshot()`` build a fresh copy on every call; there is no
+    ``add`` or ``set_max`` — counters are written through a scope.
+    """
+
+    __slots__ = ("_registry",)
+
+    def __init__(self, registry: "MetricsRegistry"):
+        self._registry = registry
+
+    @property
+    def values(self) -> Counter:
+        scopes = self._registry._scopes()
+        total: Counter = Counter()
+        for scope in scopes:
+            total.update(scope.values)
+        for name in self._registry._max_names:
+            peaks = [s.values[name] for s in scopes if name in s.values]
+            if peaks:
+                total[name] = max(peaks)
+        return total
+
+    def get(self, name: str) -> int:
+        return self.values.get(name, 0)
+
+    def snapshot(self) -> Dict[str, int]:
+        return dict(self.values)
+
+
 class MetricsRegistry:
-    """One registry per cluster: rank scopes, a fabric scope, the mirror
+    """One registry per cluster: rank scopes, a fabric scope, the derived
     aggregate, and the bounded completed-span ring."""
 
     def __init__(self, n_ranks: int, spans_enabled: bool = False,
-                 max_spans: int = DEFAULT_SPAN_CAP,
-                 aggregate: Optional[Counters] = None):
+                 max_spans: int = DEFAULT_SPAN_CAP):
         if n_ranks < 1:
             raise ValueError("registry needs at least one rank")
         if max_spans < 1:
@@ -223,9 +237,8 @@ class MetricsRegistry:
         self.n_ranks = n_ranks
         self.spans_enabled = spans_enabled
         self.max_spans = max_spans
-        #: the cluster-wide aggregate every scope mirrors into; identical
-        #: names and values to the historical shared-``Counters`` object
-        self.aggregate = aggregate if aggregate is not None else Counters()
+        #: cluster-wide totals over every scope (read-only, derived)
+        self.aggregate = AggregateView(self)
         self.ranks: List[ScopedCounters] = [
             ScopedCounters(self, r) for r in range(n_ranks)]
         self.fabric = ScopedCounters(self, FABRIC_SCOPE)
@@ -233,7 +246,7 @@ class MetricsRegistry:
         #: completed spans evicted from the full ring (oldest-first)
         self.spans_dropped = 0
         #: names with high-water-mark (max) semantics: the aggregate is the
-        #: max over scopes, not the sum, so the sum invariant skips them
+        #: max over scopes, not the sum
         self._max_names: set = set()
 
     # ------------------------------------------------------------- scopes
@@ -263,27 +276,6 @@ class MetricsRegistry:
                 if (name is None or s.name == name)
                 and (rank is None or s.scope.label == rank)]
 
-    # ------------------------------------------------------------- invariants
-    def per_rank_totals(self) -> Counter:
-        """Sum of all scopes (ranks + fabric) — equals the aggregate when
-        every writer goes through a scope (``set_max`` names excluded:
-        their aggregate is the max over scopes, not the sum)."""
-        total: Counter = Counter()
-        for scope in self._scopes():
-            total.update(scope.values)
-        for name in self._max_names:
-            total.pop(name, None)
-        return total
-
-    def attribution_gaps(self) -> Dict[str, int]:
-        """Counter names (and amounts) present in the aggregate but not
-        covered by any scope — i.e. written directly into the aggregate."""
-        totals = self.per_rank_totals()
-        return {name: value - totals.get(name, 0)
-                for name, value in sorted(self.aggregate.values.items())
-                if name not in self._max_names
-                and value != totals.get(name, 0)}
-
     # ------------------------------------------------------------- snapshots
     def snapshot(self) -> Dict[str, object]:
         """JSON-serializable registry-wide snapshot."""
@@ -295,5 +287,4 @@ class MetricsRegistry:
             "spans": {"recorded": len(self.spans),
                       "dropped": self.spans_dropped,
                       "enabled": self.spans_enabled},
-            "attribution_gaps": self.attribution_gaps(),
         }

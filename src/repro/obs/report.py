@@ -9,8 +9,8 @@ into one JSON-serializable document:
   per-rank), minimpi ``Engine.stats()`` and runtime transport stats when
   provided, plus exact per-op latency percentiles computed from span
   records with :mod:`repro.util.stats`;
-- cluster-wide: the aggregate counters, attribution gaps (names written
-  outside any scope), span-ring occupancy, per-link fabric stats.
+- cluster-wide: the aggregate counters (summed over the scopes),
+  span-ring occupancy, per-link fabric stats.
 
 ``python -m repro.obs.report`` runs a small R17-style lossy workload
 (PWC puts, eager sends, a rendezvous message, minimpi eager+rendezvous
@@ -121,7 +121,6 @@ def build_snapshot(cluster, photons=None, comms=None,
         },
         "aggregate": {
             "counters": registry.aggregate.snapshot(),
-            "attribution_gaps": registry.attribution_gaps(),
         },
         "spans": {
             "recorded": len(registry.spans),
@@ -257,9 +256,6 @@ def main(argv=None) -> int:
     for key in ("photon.op_retries", "photon.dup_drops", "link.drops",
                 "mpi.ctrl_resends"):
         print(f"  {key}: {agg.get(key, 0)}")
-    gaps = snapshot["aggregate"]["attribution_gaps"]
-    if gaps:
-        print(f"  attribution gaps: {gaps}")
     # the whole point: the merged snapshot is JSON-clean
     json.dumps(snapshot)
     print("snapshot is JSON-serializable")

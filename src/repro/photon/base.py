@@ -151,7 +151,7 @@ class PhotonBase:
         self._scanned_version = -1
         self.context = node.context
         self.memory = node.memory
-        # this rank's counter scope: writes mirror into cluster.counters
+        # this rank's counter scope; cluster.counters sums the scopes
         self.counters = cluster.scope(node.rank)
         self.pd: ProtectionDomain = self.context.alloc_pd()
         qp_total = cluster.n * (2 * config.max_outstanding + 64)
@@ -919,8 +919,8 @@ class PhotonBase:
         """Fault-domain telemetry: retry/recovery counters + in-flight ops.
 
         Counters are read from this rank's scope, so every value is
-        genuinely per-rank (cluster-wide totals live in
-        ``cluster.counters`` / ``cluster.metrics.aggregate``).
+        genuinely per-rank (``cluster.counters`` sums them over all
+        scopes).
         ``reliable_ops_inflight`` is rank-local state, not a counter.
         """
         c = self.counters

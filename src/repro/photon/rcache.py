@@ -116,8 +116,8 @@ class RegistrationCache:
         self.pinned_bytes += delta
         if self.pinned_bytes > self.pinned_bytes_peak:
             self.pinned_bytes_peak = self.pinned_bytes
-            # high-water mark: set_max (not add) mirrors into the scope and
-            # the cluster aggregate without direct values[] assignment
+            # high-water mark: set_max (not add), so the cluster aggregate
+            # takes the max over scopes instead of summing them
             self.counters.set_max("photon.rcache.pinned_bytes_peak",
                                   self.pinned_bytes_peak)
 

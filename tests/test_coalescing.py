@@ -126,7 +126,7 @@ def test_runtime_over_coalescing_transport():
     rts = [Runtime(r, cl.env,
                    CoalescingTransport(PhotonTransport(ph[r]),
                                        flush_count=8),
-                   registry, counters=cl.counters) for r in range(2)]
+                   registry, counters=cl.scope(r)) for r in range(2)]
 
     def sender(env):
         for i in range(24):

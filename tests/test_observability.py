@@ -16,34 +16,43 @@ from repro.sim import Counters
 # ---------------------------------------------------------------- registry
 
 
-def test_scoped_add_mirrors_into_aggregate():
+def test_aggregate_is_sum_over_scopes():
     reg = MetricsRegistry(2)
     reg.scope(0).add("x", 3)
     reg.scope(1).add("x", 4)
     reg.scope(1).add("y")
     reg.fabric.add("x", 1)
+    reg.fabric.add("z", 0)
     assert reg.scope(0).get("x") == 3
     assert reg.scope(1).get("x") == 4
     assert reg.aggregate.get("x") == 8
     assert reg.aggregate.get("y") == 1
-    assert reg.per_rank_totals() == reg.aggregate.values
-    assert reg.attribution_gaps() == {}
+    assert reg.aggregate.get("missing") == 0
+    assert reg.aggregate.values == {"x": 8, "y": 1, "z": 0}
+    assert reg.aggregate.snapshot() == {"x": 8, "y": 1, "z": 0}
 
 
-def test_direct_aggregate_write_is_an_attribution_gap():
+def test_aggregate_is_read_only():
     reg = MetricsRegistry(2)
     reg.scope(0).add("x", 3)
-    reg.aggregate.add("x", 5)  # bypasses every scope
-    assert reg.attribution_gaps() == {"x": 5}
+    assert not hasattr(reg.aggregate, "add")
+    assert not hasattr(reg.aggregate, "set_max")
+    with pytest.raises(AttributeError):
+        reg.aggregate.add("x", 5)  # counters are written through a scope
+    with pytest.raises(AttributeError):
+        reg.aggregate.set_max("x", 5)
+    assert reg.aggregate.get("x") == 3
 
 
-def test_scope_clear_preserves_mirror_invariant():
+def test_scope_clear_is_reflected_in_aggregate():
     reg = MetricsRegistry(2)
     reg.scope(0).add("x", 3)
+    reg.scope(0).add("only0")
     reg.scope(1).add("x", 4)
     reg.scope(0).clear()
+    assert reg.scope(0).values == {}
     assert reg.aggregate.get("x") == 4
-    assert reg.per_rank_totals() == reg.aggregate.values
+    assert reg.aggregate.values == {"x": 4}
 
 
 def test_set_max_is_high_water_mark_not_sum():
@@ -53,7 +62,9 @@ def test_set_max_is_high_water_mark_not_sum():
     reg.scope(1).set_max("peak", 40)  # never lowers
     assert reg.scope(1).get("peak") == 60
     assert reg.aggregate.get("peak") == 100  # max over scopes, not 160
-    assert reg.attribution_gaps() == {}  # max names exempt from sum check
+    assert reg.aggregate.values["peak"] == 100
+    reg.scope(0).clear()
+    assert reg.aggregate.get("peak") == 60  # max over the remaining scopes
 
 
 def test_plain_counters_obs_hooks_are_noops():
@@ -80,6 +91,18 @@ def test_histogram_power_of_two_buckets():
     assert snap["buckets"]["+inf"] == 1
     assert h.quantile(0.25) == float(_BUCKET_BOUNDS[0])
     json.dumps(snap)
+    # quantiles never leave the observed range: the bucket bound (128)
+    # is above every observation, and an empty first bucket (64) is
+    # below them
+    h = Histogram()
+    for _ in range(10):
+        h.observe(65)
+    assert h.quantile(0.5) == 65.0 == h.max
+    h = Histogram()
+    h.observe(1000)
+    h.observe(3000)
+    assert h.quantile(0.0) == 1000.0 == h.min
+    assert h.quantile(1.0) == 3000.0 == h.max
 
 
 def test_spans_disabled_by_default_and_cheap():
@@ -182,12 +205,11 @@ def test_lossy_merged_snapshot_json_roundtrips(lossy_run):
 
 def test_lossy_per_rank_counters_sum_to_aggregate(lossy_run):
     cl, _ph, _mm, _snapshot = lossy_run
-    assert cl.metrics.attribution_gaps() == {}
-    totals = cl.metrics.per_rank_totals()
+    scopes = cl.metrics.ranks + [cl.metrics.fabric]
     for name, value in cl.counters.snapshot().items():
         if name in cl.metrics._max_names:
             continue
-        assert totals[name] == value, name
+        assert sum(s.get(name) for s in scopes) == value, name
 
 
 def test_lossy_fault_counters_are_sane_and_monotone(lossy_run):

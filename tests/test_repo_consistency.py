@@ -1,10 +1,11 @@
 """Repository self-consistency: experiments ↔ benchmarks ↔ docs.
 
 Keeps the deliverables honest: every registered experiment has a
-benchmark target, is indexed in DESIGN.md, and has a measured table in
+benchmark item, is indexed in DESIGN.md, and has a measured table in
 EXPERIMENTS.md — and no build artifact is ever committed.
 """
 
+import importlib.util
 import os
 import re
 import subprocess
@@ -14,18 +15,31 @@ import pytest
 from repro.bench.experiments import ALL
 
 
+def _benchmark_params():
+    """(modules, ids) that ``benchmarks/bench_experiments.py`` is
+    parametrised over."""
+    spec = importlib.util.spec_from_file_location(
+        "bench_experiments", "benchmarks/bench_experiments.py")
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    (mark,) = [m for m in bench.test_experiment.pytestmark
+               if m.name == "parametrize"]
+    return list(mark.args[1]), list(mark.kwargs["ids"])
+
+
 def test_every_experiment_has_a_benchmark_file():
-    files = os.listdir("benchmarks")
-    for key, module in ALL.items():
-        suffix = module.__name__.rsplit(".", 1)[-1]  # e.g. r1_latency
-        assert f"bench_{suffix}.py" in files, f"missing bench for {key}"
+    modules, ids = _benchmark_params()
+    assert modules == list(ALL.values())
+    assert ids == list(ALL)  # test ids r1..r23
 
 
 def test_every_benchmark_maps_to_an_experiment():
-    suffixes = {m.__name__.rsplit(".", 1)[-1] for m in ALL.values()}
-    for fname in os.listdir("benchmarks"):
-        if fname.startswith("bench_") and fname.endswith(".py"):
-            assert fname[len("bench_"):-3] in suffixes, fname
+    benches = [f for f in os.listdir("benchmarks")
+               if f.startswith("bench_") and f.endswith(".py")]
+    assert benches == ["bench_experiments.py"], benches
+    modules, _ids = _benchmark_params()
+    assert len(set(modules)) == len(modules)
+    assert set(modules) <= set(ALL.values())
 
 
 def test_design_indexes_every_experiment():
