@@ -60,6 +60,9 @@ PARTITION_NS = 500_000
 #: applies can land in one server-loop batch before the snapshot tick
 #: fires; the mid-run sampler grants that much grace, quiescence none
 SAMPLER_SLACK = 32
+#: simulated-time budget per issued write (a healthy run needs ~17 us):
+#: a wedged store fails the "finished" check instead of spinning
+SIM_NS_PER_WRITE = 40_000
 
 
 def _build(seed: int):
@@ -176,22 +179,35 @@ def run_chaos_move(quick: bool = True, seed: int = 404,
         yield env.timeout(40 * HB_PERIOD)
 
     done = env.process(driver(env), name="r21.driver")
-    env.run(until=done)
+    env.run(until=env.any_of(
+        [done, env.timeout(2 * n_ops * SIM_NS_PER_WRITE)]))
 
     victim = out["victim"]
-    acked = [t for c in writers + [out["probe"]] for t in c.acked]
+    probe = [out["probe"]] if "probe" in out else []
+    acked = [t for c in writers + probe for t in c.acked]
     owners = {}   # final owner group per key (post-flip ring)
     lost = {}
     smap = nodes[0].shard_map
     for (c, s, _op, k, _v) in acked:
         owners.setdefault(k, smap.group_of(k))
     for rank in smap.replicas(0):
-        sm = nodes[rank].machines[0]
+        sm = nodes[rank].machines.get(0)  # None: crashed, never back
+        applied = sm.applied_uids if sm is not None else set()
         lost[rank] = sorted(
             (c, s) for (c, s, _op, k, _v) in acked
-            if owners[k] == 0 and (c, s) not in sm.applied_uids)
-    victim_installs = sum(rn.snapshot_installs
-                          for rn in nodes[victim].raft.values())
+            if owners[k] == 0 and (c, s) not in applied)
+    # per-replica apply lag behind its group's most advanced replica
+    # (None: the replica holds no state — it never came back)
+    lag = {}
+    for g in range(N_GROUPS):
+        applied = {rk: nodes[rk].raft[g].last_applied
+                   for rk in smap.replicas(g) if g in nodes[rk].raft}
+        top = max(applied.values(), default=0)
+        lag[g] = {rk: top - applied[rk] if rk in applied else None
+                  for rk in smap.replicas(g)}
+    victim_installs = (0 if victim is None else
+                       sum(rn.snapshot_installs
+                           for rn in nodes[victim].raft.values()))
     lagger_installs = nodes[lagger].raft[1].snapshot_installs
     log_bounded_final = True
     try:
@@ -199,6 +215,8 @@ def run_chaos_move(quick: bool = True, seed: int = 404,
     except InvariantViolation:
         log_bounded_final = False
     out.update({
+        "finished": done.triggered,
+        "replica_lag": lag,
         "cluster": cl, "nodes": nodes, "monitors": monitors,
         "writers": writers, "n_ops": 2 * n_ops,
         "acked": len({(c, s) for (c, s, *_r) in acked}),
@@ -236,8 +254,14 @@ def run(quick: bool = True, scenario: Optional[dict] = None) \
          r.get("post_move_ok", 0)],
         ["install spans", len(installs),
          f"max {max(installs) / 1000.0:.0f}us" if installs else "-", "-"],
+        ["replica lag", max(v or 0 for lags in r["replica_lag"].values()
+                            for v in lags.values()),
+         "; ".join(f"g{g} " + " ".join(f"r{rk}:{'-' if v is None else v}"
+                                       for rk, v in lags.items())
+                   for g, lags in r["replica_lag"].items()), "-"],
     ]
     checks = {
+        "run finished inside its simulated-time budget": r["finished"],
         "every issued write was eventually acked exactly once":
             r["acked"] == r["n_ops"] + 20,  # writers + post-move probes
         "zero acked-write loss on every final-owner replica":

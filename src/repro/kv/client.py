@@ -1,10 +1,10 @@
 """KV client: leader discovery, redirects, retries, two read arms.
 
 A :class:`KVClient` lives on some rank and talks to the store through
-that rank's :class:`~repro.kv.store.KVNode` hub (responses are delivered
-by the node's server loop, requests go straight onto the shared parcel
-transport — concurrent senders per rank are a supported pattern
-everywhere in this repo).
+that rank's runtime: each attempt is an active-message invoke of
+``kv.req`` (:mod:`repro.runtime.am`) whose future the client sleeps on.
+The rank's :class:`~repro.kv.store.KVNode` server loop, the only poller,
+surfaces the reply and so wakes the client.
 
 Write path: the client hashes the key to a group, sends the command to
 its best guess for the group's leader, and follows ``NotLeader``
@@ -50,7 +50,8 @@ from .shard import (Command, OP_CAS, OP_DELETE, OP_PUT, ST_CAS_FAIL,
 from .store import (ACT_REQ, KVNode, REQ_LOC, REQ_READ, REQ_SNAP, REQ_WRITE,
                     RESP_FAIL, RESP_NO_LEASE, RESP_NOT_LEADER,
                     RESP_WRONG_EPOCH, SLOT_OVERSIZE, SLOT_PRESENT, _SLOT,
-                    pack_request, unpack_loc)
+                    pack_request, unpack_loc, unpack_reply)
+from ..runtime.am import CreditExhaustedError
 from ..runtime.transport import PeerDownError
 
 __all__ = ["KVClient", "ClientStats"]
@@ -139,7 +140,7 @@ class KVClient:
         cmd = Command(op=op, client=self.client_id, seq=seq, key=key,
                       value=value, expected=expected)
         status, resp = yield from self._rpc(REQ_WRITE, encode_command(cmd),
-                                            seq, key=key)
+                                            key=key)
         if status in (ST_OK, ST_MISS, ST_CAS_FAIL):
             # the command reached the state machine => it is durable on a
             # commit majority, whatever the outcome code says
@@ -161,10 +162,8 @@ class KVClient:
         return (yield from self._get_rpc(key))
 
     def _get_rpc(self, key: bytes):
-        self.seq += 1
-        seq = self.seq
         status, value = yield from self._rpc(
-            REQ_READ, struct.pack("<H", len(key)) + key, seq, key=key)
+            REQ_READ, struct.pack("<H", len(key)) + key, key=key)
         if status in (ST_OK, ST_MISS):
             self.stats.rpc_reads += 1
         else:
@@ -198,40 +197,33 @@ class KVClient:
             comp = None
         else:
             comp = yield from self._wait_local(cid)
-        if comp is None or not comp.ok:
-            # leader died or moved: drop what we believed about it
-            self._loc.pop(key, None)
-            self._leader.clear()
-            self.stats.onesided_fallbacks += 1
-            return (yield from self._get_rpc(key))
-        version, length, flags = _SLOT.unpack_from(
-            self.photon.memory.read(self._scratch.addr, _SLOT.size), 0)
-        if version < self._seen_ver.get(key, 0):
+        # leader died or moved: drop what we believed about it
+        stale = comp is None or not comp.ok
+        if not stale:
+            version, length, flags = _SLOT.unpack_from(
+                self.photon.memory.read(self._scratch.addr, _SLOT.size), 0)
             # versions are assigned in committed-log order, identically
             # on every replica: seeing one go backwards means this slot
             # table lags a replica we already read — stale, fall back
-            self._loc.pop(key, None)
+            stale = version < self._seen_ver.get(key, 0)
+            # a deleted key or a value too large for the slot also falls
+            # back, so the answer is authoritative (the slot says nothing
+            # about keys written after our loc snapshot on other nodes)
+            if not stale and flags & SLOT_PRESENT \
+                    and not flags & SLOT_OVERSIZE:
+                self._seen_ver[key] = version
+                self.stats.onesided_reads += 1
+                return ST_OK, self.photon.memory.read_bytes(
+                    self._scratch.addr + _SLOT.size, length)
+        self._loc.pop(key, None)
+        if stale:
             self._leader.clear()
-            self.stats.onesided_fallbacks += 1
-            return (yield from self._get_rpc(key))
-        if flags & SLOT_OVERSIZE or not flags & SLOT_PRESENT:
-            # deleted key or value too large for the slot: fall back so
-            # the answer is authoritative (slot says nothing about keys
-            # written after our loc snapshot on other nodes)
-            self._loc.pop(key, None)
-            self.stats.onesided_fallbacks += 1
-            return (yield from self._get_rpc(key))
-        self._seen_ver[key] = version
-        value = self.photon.memory.read_bytes(
-            self._scratch.addr + _SLOT.size, length)
-        self.stats.onesided_reads += 1
-        return ST_OK, value
+        self.stats.onesided_fallbacks += 1
+        return (yield from self._get_rpc(key))
 
     def _resolve_loc(self, key: bytes):
-        self.seq += 1
-        seq = self.seq
         status, raw = yield from self._rpc(
-            REQ_LOC, struct.pack("<H", len(key)) + key, seq, key=key)
+            REQ_LOC, struct.pack("<H", len(key)) + key, key=key)
         self.stats.loc_lookups += 1
         if status != ST_OK:
             return None
@@ -284,7 +276,7 @@ class KVClient:
         self._view = self.node.shard_map.freeze()
         self.stats.map_refreshes += 1
 
-    def _rpc(self, kind: int, body: bytes, seq: int, key: bytes = None,
+    def _rpc(self, kind: int, body: bytes, key: bytes = None,
              group: int = None):
         """Send to the believed leader, follow redirects, retry on
         timeout.  Returns ``(status, value)`` with RESP_FAIL on give-up.
@@ -303,19 +295,10 @@ class KVClient:
         # attempt budget at poll speed
         backoff = self.poll_ns * 8
         for _attempt in range(self.max_attempts):
-            payload = pack_request(kind, self.client_id, seq, g,
-                                   self._view.epoch, body)
-            sent = True
-            try:
-                yield from self.node.runtime.send(dst, ACT_REQ, payload)
-            except PeerDownError:
-                sent = False
-            answer = None
-            if sent:
-                answer = yield from self._await(seq)
+            payload = pack_request(kind, g, self._view.epoch, body)
+            answer = yield from self._call(dst, payload)
             if answer is None:
                 # dead/laggy replica: rotate through the replica set
-                self.stats.timeouts += sent
                 fallback += 1
                 dst = replicas[fallback % len(replicas)]
                 self._leader.pop(g, None)
@@ -336,16 +319,11 @@ class KVClient:
                 # leader views can bounce a request between each other
                 # at wire speed and burn the whole attempt budget in
                 # less than a leaderless window
-                if not followed_hint or redirects >= 2:
-                    yield self.env.timeout(backoff)
-                    backoff = min(backoff * 2, 400_000)
-                continue
-            if status == RESP_NO_LEASE:
+                if followed_hint and redirects < 2:
+                    continue
+            elif status == RESP_NO_LEASE:
                 self.stats.lease_retries += 1
-                yield self.env.timeout(backoff)
-                backoff = min(backoff * 2, 400_000)
-                continue
-            if status == RESP_WRONG_EPOCH:
+            elif status == RESP_WRONG_EPOCH:
                 # the ring moved under us (or the range is sealed while
                 # a move is in flight): refetch the map, re-route, retry.
                 # Pre-flip sealed rejections return the *same* epoch, so
@@ -364,24 +342,37 @@ class KVClient:
                         # point at the old owner — invalidate this one
                         if key is not None:
                             self._loc.pop(key, None)
-                yield self.env.timeout(backoff)
-                backoff = min(backoff * 2, 400_000)
-                continue
-            self._leader[g] = dst
-            return status, value
+            else:
+                self._leader[g] = dst
+                return status, value
+            yield self.env.timeout(backoff)
+            backoff = min(backoff * 2, 400_000)
         return RESP_FAIL, b""
 
-    def _await(self, seq: int):
-        """Poll the hub for our response until the per-attempt timeout."""
-        hub = self.node.hub
-        key = (self.client_id, seq)
-        deadline = self.env.now + self.timeout_ns
-        while key not in hub:
-            if self.env.now >= deadline:
+    def _call(self, dst: int, payload: bytes):
+        """One attempt: invoke ``kv.req`` at ``dst`` and sleep until the
+        reply settles the future or ``timeout_ns`` passes (generator →
+        ``(status, hint, value)``, or None when the attempt failed)."""
+        rt = self.node.runtime
+        try:
+            fut = yield from rt.invoke(dst, ACT_REQ, payload)
+        except CreditExhaustedError:
+            # every invoke credit toward dst is in flight: back off
+            yield self.env.timeout(self.poll_ns * 8)
+            return None
+        if not fut.ready:
+            woke = self.env.event()
+            fut.on_settle(lambda _fut: woke.succeed())
+            yield self.env.any_of([woke, self.env.timeout(self.timeout_ns)])
+            if not fut.ready:
+                # give the credit back; a late reply is dropped as stale
+                rt.am.abandon(fut)
+                self.stats.timeouts += 1
                 return None
-            yield self.env.timeout(self.poll_ns)
-        status, hint, value, _arrived = hub.pop(key)
-        return status, hint, value
+        if fut.failed:
+            # never left this rank (breaker open) or the handler raised
+            return None
+        return unpack_reply(fut.get())
 
     # ------------------------------------------------------- resharding ops
     def admin_cmd(self, group: int, op: int, value: bytes = b""):
@@ -390,17 +381,14 @@ class KVClient:
         commands ride the same session layer as data writes, so retries
         after a redirect or crash stay exactly-once."""
         self.seq += 1
-        seq = self.seq
-        cmd = Command(op=op, client=self.client_id, seq=seq, key=b"",
+        cmd = Command(op=op, client=self.client_id, seq=self.seq, key=b"",
                       value=value)
         status, _ = yield from self._rpc(REQ_WRITE, encode_command(cmd),
-                                         seq, group=group)
+                                         group=group)
         return status
 
     def pull_snapshot(self, group: int):
         """Fetch a sealed group's serialized machine (generator).
         Returns the blob, or None while unsealed / leaderless."""
-        self.seq += 1
-        seq = self.seq
-        status, blob = yield from self._rpc(REQ_SNAP, b"", seq, group=group)
+        status, blob = yield from self._rpc(REQ_SNAP, b"", group=group)
         return blob if status == ST_OK else None

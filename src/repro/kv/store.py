@@ -1,20 +1,23 @@
 """The per-rank KV server: Raft groups, state machines and the wire.
 
 One :class:`KVNode` runs on every rank (ranks that replicate no group
-still pump the parcel runtime so co-located clients get responses).  All
-KV traffic — Raft AppendEntries/RequestVote rounds, client requests and
-responses — rides the runtime's parcel machinery over
-:class:`~repro.runtime.transport.PhotonTransport`, i.e. Photon PWC eager
-sends surfaced at the target by completion-ledger probes, with the
-rendezvous path kicking in automatically for oversized AE batches.
+still pump the parcel runtime so co-located clients get their replies).
+All KV traffic rides the runtime's parcel machinery over
+:class:`~repro.runtime.transport.PhotonTransport` (Photon PWC eager
+sends surfaced by completion-ledger probes; rendezvous for oversized AE
+batches).  Raft frames are plain parcels.  Client requests are
+active-message invokes of ``kv.req`` (:mod:`repro.runtime.am`): AM cids
+route each reply to the client's future.  Redirect, lease and epoch
+answers reply at once; a write defers its reply (a future) until its
+log entry applies.  The ``(client, seq)`` sessions still make retries
+exactly-once across leader changes, where a retry is a new invoke.
 
-The server loop is the **single wire writer** for a rank's server side:
-handlers invoked by parcel dispatch only mutate state and enqueue
-outgoing messages (Raft outboxes, the response queue); the loop drains
-them onto the transport.  That keeps the photon endpoint free of
-re-entrant server generators — co-located clients still issue their own
-requests and one-sided reads concurrently, exactly like every other
-multi-process workload in this repo.
+The server loop is the **single wire writer** for a rank's server side
+and its only poller: handlers run inside it, only mutate state and
+return (or defer) their reply; the loop drains Raft outboxes and settled
+deferred replies onto the transport.  That keeps the photon endpoint
+free of re-entrant server generators — co-located clients still issue
+their own invokes and one-sided reads concurrently.
 
 One-sided read arm: each replica exposes a registered *slot table* per
 group.  Slots are assigned to keys in committed-log order, so every
@@ -28,11 +31,12 @@ comparison (see PAPERS.md).
 from __future__ import annotations
 
 import struct
-from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..runtime.actions import ActionRegistry
+from ..runtime.am import AmConfig
+from ..runtime.lco import Future
 from ..runtime.parcel import Parcel
 from ..runtime.scheduler import Runtime
 from ..runtime.transport import PeerDownError, PhotonTransport
@@ -43,17 +47,16 @@ from .shard import (Command, CodecError, KVStateMachine, OP_CAS, OP_DELETE,
                     ST_MISS, ST_OK, decode_command, snapshot_keys)
 
 __all__ = ["KVConfig", "KVNode", "build_kv",
-           "ACT_RAFT", "ACT_REQ", "ACT_RESP",
+           "ACT_RAFT", "ACT_REQ",
            "REQ_WRITE", "REQ_READ", "REQ_LOC", "REQ_SNAP",
            "RESP_OK", "RESP_MISS", "RESP_CAS_FAIL", "RESP_NOT_LEADER",
            "RESP_NO_LEASE", "RESP_WRONG_EPOCH", "RESP_FAIL",
            "SLOT_HDR", "SLOT_PRESENT", "SLOT_OVERSIZE",
-           "pack_request", "unpack_request", "pack_response",
-           "unpack_response", "pack_loc", "unpack_loc"]
+           "pack_request", "unpack_request", "pack_reply", "unpack_reply",
+           "pack_loc", "unpack_loc"]
 
 ACT_RAFT = "kv.raft"
 ACT_REQ = "kv.req"
-ACT_RESP = "kv.resp"
 
 REQ_WRITE = 0
 REQ_READ = 1
@@ -73,10 +76,11 @@ RESP_NO_LEASE = 4
 RESP_WRONG_EPOCH = 5
 RESP_FAIL = 255
 
-#: request frame: kind u8, client u32, seq u64, group u16, epoch u32
-_REQ = struct.Struct("<BIQHI")
-#: response frame: status u8, leader_hint i16, client u32, seq u64, vlen u32
-_RESP = struct.Struct("<BhIQI")
+#: request frame: kind u8, group u16, epoch u32 (write uids: command body)
+_REQ = struct.Struct("<BHI")
+#: reply frame: status u8, leader_hint i16, then the value (the AM cid
+#: already names the request, so it carries no client or seq)
+_REPLY = struct.Struct("<Bh")
 #: loc payload: leader u16, slot u32, slot_size u32, addr u64, rkey u64
 _LOC = struct.Struct("<HIIQQ")
 #: slot header: version u64, length u32, flags u32
@@ -86,27 +90,25 @@ SLOT_PRESENT = 1
 SLOT_OVERSIZE = 2
 
 
-def pack_request(kind: int, client: int, seq: int, group: int, epoch: int,
-                 body: bytes) -> bytes:
-    return _REQ.pack(kind, client, seq, group, epoch) + body
+def pack_request(kind: int, group: int, epoch: int, body: bytes) -> bytes:
+    return _REQ.pack(kind, group, epoch) + body
 
 
-def unpack_request(raw: bytes) -> Tuple[int, int, int, int, int, bytes]:
+def unpack_request(raw: bytes) -> Tuple[int, int, int, bytes]:
     if len(raw) < _REQ.size:
         raise CodecError(
             f"request frame truncated: {len(raw)} < {_REQ.size}")
-    kind, client, seq, group, epoch = _REQ.unpack_from(raw, 0)
-    return kind, client, seq, group, epoch, raw[_REQ.size:]
+    kind, group, epoch = _REQ.unpack_from(raw, 0)
+    return kind, group, epoch, raw[_REQ.size:]
 
 
-def pack_response(status: int, hint: int, client: int, seq: int,
-                  value: bytes = b"") -> bytes:
-    return _RESP.pack(status, hint, client, seq, len(value)) + value
+def pack_reply(status: int, hint: int, value: bytes = b"") -> bytes:
+    return _REPLY.pack(status, hint) + value
 
 
-def unpack_response(raw: bytes) -> Tuple[int, int, int, int, bytes]:
-    status, hint, client, seq, vlen = _RESP.unpack_from(raw, 0)
-    return status, hint, client, seq, raw[_RESP.size:_RESP.size + vlen]
+def unpack_reply(raw: bytes) -> Tuple[int, int, bytes]:
+    status, hint = _REPLY.unpack_from(raw, 0)
+    return status, hint, raw[_REPLY.size:]
 
 
 def pack_loc(leader: int, slot: int, slot_size: int, addr: int,
@@ -143,11 +145,6 @@ class KVConfig:
     idle_backoff_max_ns: int = 12_800
     #: poll period while this rank's endpoint is crashed (ns)
     dead_poll_ns: int = 100_000
-    #: response-hub entries unclaimed for this long are garbage-collected
-    #: (late replies to clients that gave up); must comfortably exceed
-    #: the largest client per-attempt timeout or a slow client's answer
-    #: could be swept while it still polls
-    hub_ttl_ns: int = 10_000_000
 
     def validate(self) -> None:
         if self.n_groups < 1:
@@ -158,7 +155,7 @@ class KVConfig:
             raise ValueError(f"slot_size must exceed the {SLOT_HDR}B header")
         for name in ("slots_per_group", "apply_cost_ns", "snapshot_cost_ns",
                      "install_cost_ns", "idle_backoff_ns",
-                     "idle_backoff_max_ns", "dead_poll_ns", "hub_ttl_ns"):
+                     "idle_backoff_max_ns", "dead_poll_ns"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
         self.raft.validate()
@@ -172,26 +169,23 @@ class KVConfig:
 def register_actions(registry: ActionRegistry) -> None:
     """Install the KV handler table (same ids on every rank).
 
-    Handlers only mutate node state; all wire writes happen in the
-    server loop (see module docstring).
+    Handlers only mutate node state and return the request's reply (or
+    a future of it); all wire writes happen in the server loop (see
+    module docstring).
     """
 
     def raft_handler(rt, src, payload):
         rt.kv.handle_raft(src, payload)
 
     def req_handler(rt, src, payload):
-        rt.kv.handle_request(src, payload)
-
-    def resp_handler(rt, src, payload):
-        rt.kv.handle_response(src, payload)
+        return rt.kv.handle_request(src, payload)
 
     registry.register(ACT_RAFT, raft_handler)
     registry.register(ACT_REQ, req_handler)
-    registry.register(ACT_RESP, resp_handler)
 
 
 class KVNode:
-    """One rank's slice of the store (server loop + client hub)."""
+    """One rank's slice of the store: its replicas and the server loop."""
 
     def __init__(self, cluster, rank: int, runtime: Runtime, photon,
                  shard_map: ShardMap, config: Optional[KVConfig] = None):
@@ -219,16 +213,10 @@ class KVNode:
             # registration until the replica has state to publish)
             self.tables[g] = photon.buffer(
                 self.config.slots_per_group * self.config.slot_size)
-        #: leader side: (group, log index) -> (reply rank, client, seq)
-        self._pending: Dict[Tuple[int, int], Tuple[int, int, int]] = {}
-        self._pending_uid: Dict[Tuple[int, int], Tuple[int, int]] = {}
-        #: outgoing (dst, action, payload) drained by the server loop
-        self._tx: Deque[Tuple[int, str, bytes]] = deque()
-        #: client hub: (client, seq) -> (status, hint, value, arrived_ns);
-        #: entries a client never claims (it gave up, or a retry already
-        #: completed) are swept once they outlive ``hub_ttl_ns``
-        self.hub: Dict[Tuple[int, int], Tuple[int, int, bytes, int]] = {}
-        self._hub_gc_due = 0
+        #: leader side: write uid -> (group, its deferred reply)
+        self._pending: Dict[Tuple[int, int], Tuple[int, Future]] = {}
+        #: per-group follower-lag high-water last exported (obs gauge)
+        self._lag_seen: Dict[int, int] = {}
         # local high-water caches so the per-tick set_max telemetry only
         # pays a counter call when a peak actually moves
         self._log_peak = 0
@@ -267,9 +255,8 @@ class KVNode:
         self._next_slot.clear()
         self._snap_seen.clear()
         self._pending.clear()
-        self._pending_uid.clear()
-        self._tx.clear()
-        self.hub.clear()
+        self._lag_seen.clear()
+        self.runtime.am.outbox.clear()
         self.counters.add("kv.crashes")
 
     def reseed(self) -> None:
@@ -334,50 +321,54 @@ class KVNode:
         was_leader = rn.role == LEADER
         rn.on_message(msg, self.env.now)
         self.counters.add("kv.raft_msgs")
-        if was_leader and rn.role != LEADER:
+        if rn.role == LEADER:
+            self._export_lag(msg.group, rn)
+        elif was_leader:
             self._drop_pending(msg.group)
 
-    def handle_request(self, src: int, payload: bytes) -> None:
+    def _export_lag(self, group: int, rn: RaftNode) -> None:
+        """``kv.raft.follower_lag``: the most entries a follower of a
+        group this rank leads trails its log by (a degraded rf shows)."""
+        lag = max((rn.last_index - m for m in rn.match_index.values()),
+                  default=0)
+        if lag != self._lag_seen.get(group):
+            self._lag_seen[group] = lag
+            self.counters.set_gauge("kv.raft.follower_lag",
+                                    max(self._lag_seen.values()))
+
+    def handle_request(self, src: int, payload: bytes):
+        """Serve one ``kv.req`` invoke: returns the reply frame, or for a
+        proposed write a :class:`Future` of it that settles at apply."""
         try:
-            kind, client, seq, group, epoch, body = unpack_request(payload)
+            kind, group, epoch, body = unpack_request(payload)
         except CodecError:
             self.counters.add("kv.codec_errors")
-            return
+            return pack_reply(RESP_FAIL, -1)
         self.counters.add("kv.requests")
         if epoch != self.shard_map.epoch:
             # the client routed with a pre-move ring: make it refetch
-            self._respond(src, RESP_WRONG_EPOCH, -1, client, seq)
             self.counters.add("kv.wrong_epoch")
-            return
+            return pack_reply(RESP_WRONG_EPOCH, -1)
         rn = self.raft.get(group)
         if rn is None:
-            hint = self.shard_map.replicas(group)[0]
-            self._respond(src, RESP_NOT_LEADER, hint, client, seq)
-            return
+            return pack_reply(RESP_NOT_LEADER,
+                              self.shard_map.replicas(group)[0])
         if rn.role != LEADER:
-            hint = rn.leader if rn.leader is not None else -1
-            self._respond(src, RESP_NOT_LEADER, hint, client, seq)
             self.counters.add("kv.redirects")
-            return
-        if kind == REQ_WRITE:
-            self._handle_write(src, client, seq, group, rn, body)
-        elif kind == REQ_READ:
-            self._handle_read(src, client, seq, group, rn, body)
-        elif kind == REQ_LOC:
-            self._handle_loc(src, client, seq, group, rn, body)
-        elif kind == REQ_SNAP:
-            self._handle_snap(src, client, seq, group, rn)
-        else:
-            self._respond(src, RESP_FAIL, -1, client, seq)
+            return pack_reply(RESP_NOT_LEADER,
+                              rn.leader if rn.leader is not None else -1)
+        serve = {REQ_WRITE: self._handle_write, REQ_READ: self._handle_read,
+                 REQ_LOC: self._handle_loc, REQ_SNAP: self._handle_snap}
+        if kind not in serve:
+            return pack_reply(RESP_FAIL, -1)
+        return serve[kind](group, rn, body)
 
-    def _handle_write(self, src: int, client: int, seq: int, group: int,
-                      rn: RaftNode, body: bytes) -> None:
+    def _handle_write(self, group: int, rn: RaftNode, body: bytes):
         try:
             cmd = decode_command(body)
         except CodecError:
             self.counters.add("kv.codec_errors")
-            self._respond(src, RESP_FAIL, -1, client, seq)
-            return
+            return pack_reply(RESP_FAIL, -1)
         sm = self.machines[group]
         if sm.sealed and cmd.op in (OP_PUT, OP_CAS, OP_DELETE):
             # the range is frozen for a hand-off: dedup is checked first
@@ -385,81 +376,69 @@ class KVNode:
             # retained result via the duplicate path below), fresh
             # writes bounce so the client refetches the ring post-flip
             if not sm.is_duplicate(cmd):
-                self._respond(src, RESP_WRONG_EPOCH, -1, client, seq)
                 self.counters.add("kv.sealed_rejects")
-                return
+                return pack_reply(RESP_WRONG_EPOCH, -1)
         if sm.is_duplicate(cmd):
             # committed and applied on a previous attempt: answer from the
             # retained session result — exactly-once despite retries
             status, value = sm.retained_result(cmd) or (ST_OK, b"")
-            self._respond(src, status, self.rank, client, seq, value)
             self.counters.add("kv.write_dedups")
-            return
-        uid = cmd.uid
-        if uid in self._pending_uid:
-            # retry of an op still in flight: re-point the reply address,
+            return pack_reply(status, self.rank, value)
+        pending = self._pending.get(cmd.uid)
+        if pending is not None:
+            # retry of an op still in flight (a new invoke after the
+            # client's timeout): answer it from the same deferred reply,
             # don't append the command a second time
-            g, index = self._pending_uid[uid]
-            self._pending[(g, index)] = (src, client, seq)
-            return
-        index = rn.propose(body, self.env.now)
-        if index is None:  # leadership lost between the check and here
-            self._respond(src, RESP_NOT_LEADER, -1, client, seq)
-            return
-        self._pending[(group, index)] = (src, client, seq)
-        self._pending_uid[uid] = (group, index)
+            return pending[1]
+        if rn.propose(body, self.env.now) is None:
+            return pack_reply(RESP_NOT_LEADER, -1)  # leadership just lost
+        reply = Future()
+        self._pending[cmd.uid] = (group, reply)
         self.counters.add("kv.writes_proposed")
+        return reply
 
-    def _handle_read(self, src: int, client: int, seq: int, group: int,
-                     rn: RaftNode, body: bytes) -> None:
+    def _handle_read(self, group: int, rn: RaftNode, body: bytes) -> bytes:
         if not rn.lease_valid(self.env.now):
             # no majority-acked heartbeat round inside the lease window:
             # serving now could violate linearizability during a
             # partition, so push the client to retry
-            self._respond(src, RESP_NO_LEASE, self.rank, client, seq)
             self.counters.add("kv.lease_rejects")
-            return
+            return pack_reply(RESP_NO_LEASE, self.rank)
         if not rn.read_barrier_ok():
             # lease timing alone is not enough right after an election:
             # until this leader's own-term no-op is committed *and* the
             # state machine has caught up to commit_index, local state
             # may lag writes the previous leader acknowledged (Raft §8)
-            self._respond(src, RESP_NO_LEASE, self.rank, client, seq)
             self.counters.add("kv.read_barrier_rejects")
-            return
+            return pack_reply(RESP_NO_LEASE, self.rank)
         (klen,) = struct.unpack_from("<H", body, 0)
         key = body[2:2 + klen]
         value = self.machines[group].get(key)
-        if value is None:
-            self._respond(src, RESP_MISS, self.rank, client, seq)
-        else:
-            self._respond(src, RESP_OK, self.rank, client, seq, value)
         self.counters.add("kv.lease_reads")
+        if value is None:
+            return pack_reply(RESP_MISS, self.rank)
+        return pack_reply(RESP_OK, self.rank, value)
 
-    def _handle_loc(self, src: int, client: int, seq: int, group: int,
-                    rn: RaftNode, body: bytes) -> None:
+    def _handle_loc(self, group: int, rn: RaftNode, body: bytes) -> bytes:
         if not (rn.lease_valid(self.env.now) and rn.read_barrier_ok()):
             # a deposed-but-alive leader must stop re-confirming its own
             # slot locations once its lease lapses, or clients would
             # keep renewing one-sided reads against its lagging table
-            self._respond(src, RESP_NO_LEASE, self.rank, client, seq)
             self.counters.add("kv.loc_lease_rejects")
-            return
+            return pack_reply(RESP_NO_LEASE, self.rank)
         (klen,) = struct.unpack_from("<H", body, 0)
         key = body[2:2 + klen]
         slot = self._slot_of[group].get(key)
         if slot is None:
-            self._respond(src, RESP_MISS, self.rank, client, seq)
-            return
+            return pack_reply(RESP_MISS, self.rank)
         table = self.tables[group]
         addr = table.addr + slot * self.config.slot_size
-        self._respond(src, RESP_OK, self.rank, client, seq,
-                      pack_loc(self.rank, slot, self.config.slot_size,
-                               addr, table.rkey))
         self.counters.add("kv.loc_lookups")
+        return pack_reply(RESP_OK, self.rank,
+                          pack_loc(self.rank, slot, self.config.slot_size,
+                                   addr, table.rkey))
 
-    def _handle_snap(self, src: int, client: int, seq: int, group: int,
-                     rn: RaftNode) -> None:
+    def _handle_snap(self, group: int, rn: RaftNode, _body: bytes) -> bytes:
         """Serve the sealed group's serialized machine (move data plane).
 
         Leader-only with the full read barrier: the mover must see the
@@ -467,35 +446,24 @@ class KVNode:
         unsealed — a snapshot of a live range would race new writes.
         """
         if not (rn.lease_valid(self.env.now) and rn.read_barrier_ok()):
-            self._respond(src, RESP_NO_LEASE, self.rank, client, seq)
-            return
+            return pack_reply(RESP_NO_LEASE, self.rank)
         sm = self.machines[group]
         if not sm.sealed:
-            self._respond(src, RESP_FAIL, self.rank, client, seq)
-            return
-        self._respond(src, RESP_OK, self.rank, client, seq, sm.serialize())
+            return pack_reply(RESP_FAIL, self.rank)
         self.counters.add("kv.snap_serves")
-
-    def handle_response(self, src: int, payload: bytes) -> None:
-        status, hint, client, seq, value = unpack_response(payload)
-        self.hub[(client, seq)] = (status, hint, value, self.env.now)
-
-    def _respond(self, dst: int, status: int, hint: int, client: int,
-                 seq: int, value: bytes = b"") -> None:
-        self._tx.append((dst, ACT_RESP,
-                         pack_response(status, hint, client, seq, value)))
+        return pack_reply(RESP_OK, self.rank, sm.serialize())
 
     def _drop_pending(self, group: int) -> None:
         """Leadership lost: abandon unanswered proposals for the group
-        (clients time out and retry against the new leader; session
-        dedup keeps the retry exactly-once)."""
-        stale = [k for k in self._pending if k[0] == group]
-        for k in stale:
-            del self._pending[k]
-        stale_uids = [u for u, (g, _i) in self._pending_uid.items()
-                      if g == group]
-        for u in stale_uids:
-            del self._pending_uid[u]
+        (their deferred replies never settle: clients time out and retry
+        against the new leader; session dedup keeps the retry
+        exactly-once)."""
+        if self._lag_seen.pop(group, None) is not None:
+            self.counters.set_gauge("kv.raft.follower_lag",
+                                    max(self._lag_seen.values(), default=0))
+        stale = [u for u, (g, _reply) in self._pending.items() if g == group]
+        for u in stale:
+            del self._pending[u]
         if stale:
             self.counters.add("kv.pending_dropped", len(stale))
 
@@ -505,6 +473,7 @@ class KVNode:
         backoff = cfg.idle_backoff_ns
         rt = self.runtime
         tp = rt.transport
+        am = rt.am
         poll_ns = self.photon._poll_ns
         # ``pre_slept``: the poll-interval sleep for the next pass was
         # fused into the previous idle backoff (one kernel event instead
@@ -519,7 +488,7 @@ class KVNode:
                 continue
             if rt._local:
                 # local parcels dispatch without a poll charge
-                yield from rt._dispatch(rt._local.popleft())
+                yield from rt._run_parcel(rt._local.popleft())
                 busy = True
                 pre_slept = False
             else:
@@ -534,7 +503,7 @@ class KVNode:
                     if raw is None:
                         busy = False
                     else:
-                        yield from rt._dispatch(Parcel.decode(raw))
+                        yield from rt._run_parcel(Parcel.decode(raw))
                         busy = True
                 else:
                     # pure check says the pass could find no work: it
@@ -544,7 +513,7 @@ class KVNode:
             # most ticks apply nothing and flush nothing: precheck with
             # plain attribute reads so the idle path skips two generator
             # set-ups per tick (this loop runs ~100k times per benchmark)
-            apply_due = flush_due = bool(self._tx)
+            apply_due = flush_due = bool(am.outbox)
             for rn in self.raft.values():
                 rn.tick(now)
                 if rn._applied_out or rn._installed_out or (
@@ -560,13 +529,11 @@ class KVNode:
                     self._base_peak = rn.base_index
                     self.counters.set_max("kv.raft.base_index", rn.base_index)
             applied = (yield from self._apply_committed()) if apply_due else 0
-            # apply can enqueue responses (_respond → _tx), so recheck
-            if flush_due or self._tx:
+            # apply settles deferred write replies, so recheck
+            if flush_due or am.outbox:
                 sent = yield from self._flush()
             else:
                 sent = 0
-            if now >= self._hub_gc_due:
-                self._gc_hub(now)
             if busy or applied or sent:
                 backoff = cfg.idle_backoff_ns
             else:
@@ -575,36 +542,26 @@ class KVNode:
                 pre_slept = True
                 backoff = min(backoff * 2, cfg.idle_backoff_max_ns)
 
-    def _gc_hub(self, now: int) -> None:
-        """Sweep unclaimed responses older than ``hub_ttl_ns``.
-
-        A client that exhausts its attempts stops polling its
-        ``(client, seq)`` key, and a retry that already completed leaves
-        the duplicate answer behind — without a sweep those entries
-        accumulate for the life of the run (an unbounded leak under
-        open-loop load, visible only as ``hub_backlog``).
-        """
-        ttl = self.config.hub_ttl_ns
-        stale = [k for k, v in self.hub.items() if now - v[3] > ttl]
-        for k in stale:
-            del self.hub[k]
-        if stale:
-            self.counters.add("kv.hub_expired", len(stale))
-        self._hub_gc_due = now + ttl
-
     def _apply_committed(self) -> int:
-        """Apply newly committed entries; answer pending clients.
+        """Apply newly committed entries; settle pending write replies.
 
         Also the snapshot pump: installed snapshots handed up by the
         Raft layer are swapped in here (machine replaced wholesale, slot
         table rebuilt into a *fresh* registered buffer), and freshly
-        taken snapshots are charged + mirrored into obs.
+        taken snapshots are charged + mirrored into obs.  Chaos may
+        crash (and reseed) the rank while the pass yields, so it walks a
+        snapshot of the groups and stops a group whose node was replaced.
         """
         applied = 0
-        for g, rn in self.raft.items():
+        raft = self.raft
+        for g, rn in list(raft.items()):
             for index, term, blob, t_start in rn.take_installed():
+                if raft.get(g) is not rn:
+                    break
                 yield from self._install_snapshot(g, blob, t_start)
                 applied += 1
+            if raft.get(g) is not rn:
+                continue
             sm = self.machines[g]
             for index, raw in rn.take_applied():
                 cmd = decode_command(raw)
@@ -619,13 +576,15 @@ class KVNode:
                 elif cmd.op not in (OP_NOOP, OP_SEAL):
                     self._update_slot(g, cmd.key, sm)
                 yield self.env.timeout(self.config.apply_cost_ns)
+                if raft.get(g) is not rn:
+                    break
                 applied += 1
                 self.counters.add("kv.applied")
-                who = self._pending.pop((g, index), None)
-                self._pending_uid.pop(cmd.uid, None)
-                if who is not None and rn.role == LEADER:
-                    dst, client, seq = who
-                    self._respond(dst, status, self.rank, client, seq, value)
+                pending = self._pending.pop(cmd.uid, None)
+                if pending is not None and rn.role == LEADER:
+                    pending[1].set(pack_reply(status, self.rank, value))
+            if raft.get(g) is not rn:
+                continue
             if rn.snapshots_taken > self._snap_seen.get(g, 0):
                 self._snap_seen[g] = rn.snapshots_taken
                 self.counters.add("kv.snapshots_taken")
@@ -709,36 +668,31 @@ class KVNode:
                 addr, _SLOT.pack(version, len(value), SLOT_PRESENT) + value)
 
     def _flush(self):
-        """Drain Raft outboxes and the response queue onto the wire."""
+        """Drain Raft outboxes and settled deferred replies onto the wire
+        (crash-safe the same way as :meth:`_apply_committed`)."""
         sent = 0
-        for g, rn in self.raft.items():
+        raft = self.raft
+        for g, rn in list(raft.items()):
             if not rn.outbox:
                 continue
             out, rn.outbox = rn.outbox, []
             for dst, raw in out:
-                yield from self._ship(dst, ACT_RAFT, raw)
+                if raft.get(g) is not rn:
+                    break
+                yield from self._ship(dst, raw)
                 sent += 1
-        while self._tx:
-            dst, action, payload = self._tx.popleft()
-            yield from self._ship(dst, action, payload)
-            sent += 1
+        sent += len(self.runtime.am.outbox)
+        yield from self.runtime.am.flush_replies()
         return sent
 
-    def _ship(self, dst: int, action: str, payload: bytes):
-        if self.monitor is not None and self.monitor.is_dead(dst):
-            self.counters.add("kv.drops_to_dead")
-            return
+    def _ship(self, dst: int, raw: bytes):
         try:
-            yield from self.runtime.send(dst, action, payload)
+            yield from self.runtime.send(dst, ACT_RAFT, raw)
         except PeerDownError:
-            # breaker open: Raft and clients both tolerate silent loss
+            # breaker open or peer confirmed dead: Raft tolerates loss
             self.counters.add("kv.breaker_drops")
 
     # ------------------------------------------------------------- queries
-    def leader_of(self, group: int) -> Optional[int]:
-        rn = self.raft.get(group)
-        return rn.leader if rn is not None else None
-
     def is_leader(self, group: int) -> bool:
         rn = self.raft.get(group)
         return rn is not None and rn.role == LEADER
@@ -753,7 +707,6 @@ class KVNode:
                          for g, sm in self.machines.items()},
             "slots_used": {str(g): self._next_slot[g] for g in self.raft},
             "pending_writes": len(self._pending),
-            "hub_backlog": len(self.hub),
         }
 
 
@@ -783,6 +736,10 @@ def build_kv(cluster, photons, config: Optional[KVConfig] = None,
         transport = PhotonTransport(photons[r])
         runtime = Runtime(r, cluster.env, transport, reg,
                           counters=cluster.scope(r))
+        # the server loop is the rank's only poller: a client that finds
+        # a destination's invoke credits exhausted must back off, not
+        # pump the runtime for a free credit
+        runtime.enable_am(AmConfig(on_exhausted="shed"))
         node = KVNode(cluster, r, runtime, photons[r], shard_map, cfg)
         runtime.kv = node
         if monitors is not None:

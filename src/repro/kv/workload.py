@@ -123,9 +123,6 @@ class WorkloadStats:
         xs = self.latency_ns.get(op, [])
         return percentile(xs, p) / 1e3 if xs else 0.0
 
-    def all_latencies(self) -> List[int]:
-        return [x for xs in self.latency_ns.values() for x in xs]
-
 
 def _one_op(env, client: KVClient, zipf: ZipfKeys, rng: np.random.Generator,
             get_ratio: float, value_size: int, stats: WorkloadStats,

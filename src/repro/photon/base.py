@@ -101,6 +101,9 @@ class ReliableOp:
     next_retry_at: int = 0
     #: open op-latency span (None when span recording is disabled)
     span: Optional[object] = None
+    #: (seq, staging addr, remote addr, nbytes) of the ledger slot the
+    #: op's ring entry was first posted into (None: no ring entry yet)
+    slot: Optional[Tuple[int, int, int, int]] = None
 
     @property
     def key(self) -> Tuple[int, int]:
@@ -118,7 +121,6 @@ class PeerState:
     #: local staging for the 8-byte credit words we send to this peer
     credit_staging: Dict[str, int] = field(default_factory=dict)
     outstanding: int = 0
-    preposted: int = 0
     #: producer-side reliable-operation id allocator (per peer)
     tx_op_seq: int = 0
     #: consumer-side dedup: ids <= rx_hwm or in rx_seen were delivered
@@ -267,10 +269,15 @@ class PhotonBase:
                 (other.rank, name, "credit_stage")]
         peer.scan_rings = tuple(peer.local[n] for n in RING_NAMES)
         self.peers[other.rank] = peer
-        if self.config.use_imm:
-            for _ in range(self.config.imm_prepost):
+        self._top_up_recvs(peer)
+
+    def _top_up_recvs(self, peer: PeerState) -> None:
+        """Refill a READY QP's RQ to ``imm_prepost`` zero-byte receives,
+        counting what the QP actually holds (flushes and rearms vary it)."""
+        qp = peer.qp
+        if self._use_imm and qp.state is QPState.READY:
+            for _ in range(self._imm_prepost - qp.rq_posted):
                 qp.post_recv(RecvWR())
-                peer.preposted += 1
 
     # ------------------------------------------------------------- posting
     def _next_op(self, kind: str, callback: Optional[Callable],
@@ -303,32 +310,40 @@ class PhotonBase:
     def _post_ring_entry(self, peer: PeerState, ring_name: str,
                          entry, on_ack: Optional[Callable] = None,
                          on_error: Optional[Callable] = None,
-                         extent: Optional[int] = None):
+                         op: Optional[ReliableOp] = None):
         """Claim a slot in the peer's ring and RDMA-write an entry into it.
 
         ``entry`` is either raw bytes or a builder ``f(seq) -> bytes`` —
         the builder form stamps the *claimed* sequence number, which is the
         only safe option when the claim can be preceded by a backpressure
-        wait (or when the entry is replayed later into a fresh slot).
-        ``extent``: bytes of the slot actually written (defaults to the
-        entry length) — eager entries only write header+payload+trailer,
-        not the full slot.  Returns the claimed sequence number (generator).
+        wait.  ``op``'s first attempt records its slot; a replay re-posts
+        into that slot until the consumer credits it (rings drain strictly
+        in sequence, so a write that never landed there is a hole no later
+        entry can fill).  Returns the slot's seq (generator).
         """
         ring = peer.remote[ring_name]
-        while ring.available() <= 0:
-            self.counters.add(f"photon.{ring_name}_stalls")
-            yield from self._progress_once()
-            yield self.env.timeout(self.config.wait_backoff_ns)
-        seq, stage_addr, remote_addr = ring.claim()
-        if callable(entry):
-            entry = entry(seq)
-        nbytes = extent if extent is not None else len(entry)
-        if len(entry) > ring.spec.entry_size:
-            raise SimulationError(
-                f"entry of {len(entry)}B exceeds {ring.spec.name} slot")
-        # compose into staging (host copy cost)
-        self.memory.write(stage_addr, entry)
-        yield self.env.timeout(self.memory.memcpy_cost_ns(len(entry)))
+        if op is not None and op.slot is not None \
+                and ring.credit < op.slot[0]:
+            # the staging slot cannot be reused before that credit, so
+            # the entry bytes are still there: re-post them in place
+            seq, stage_addr, remote_addr, nbytes = op.slot
+        else:
+            while ring.available() <= 0:
+                self.counters.add(f"photon.{ring_name}_stalls")
+                yield from self._progress_once()
+                yield self.env.timeout(self.config.wait_backoff_ns)
+            seq, stage_addr, remote_addr = ring.claim()
+            if callable(entry):
+                entry = entry(seq)
+            nbytes = len(entry)
+            if nbytes > ring.spec.entry_size:
+                raise SimulationError(
+                    f"entry of {nbytes}B exceeds {ring.spec.name} slot")
+            # compose into staging (host copy cost)
+            self.memory.write(stage_addr, entry)
+            yield self.env.timeout(self.memory.memcpy_cost_ns(nbytes))
+            if op is not None:
+                op.slot = (seq, stage_addr, remote_addr, nbytes)
         nic = self.cluster.params.nic
         use_inline = (self.config.use_inline and nbytes <= nic.max_inline)
         wr = SendWR(opcode=Opcode.RDMA_WRITE, local_addr=stage_addr,
@@ -383,10 +398,12 @@ class PhotonBase:
                               self._entry_error_cb(peer, wr, on_ack, on_error,
                                                    attempt))
 
-    def _send_credit(self, peer: PeerState, ring_name: str):
-        """Return ledger credit to the producer (tiny RDMA write)."""
+    def _send_credit(self, peer: PeerState, ring_name: str,
+                     resend: bool = False):
+        """Return ledger credit to the producer (tiny RDMA write).  The
+        word is absolute, so ``resend``ing it after an error is safe."""
         local = peer.local[ring_name]
-        value = local.mark_credit_sent()
+        value = local.credit_sent if resend else local.mark_credit_sent()
         stage = peer.credit_staging[ring_name]
         self.memory.write_u64(stage, value)
         nic = self.cluster.params.nic
@@ -396,35 +413,15 @@ class PhotonBase:
                     inline=self.config.use_inline and 8 <= nic.max_inline)
 
         def on_error():
-            # a credit write carries an absolute value — resending the
-            # current word is always safe and keeps the producer unblocked
             if self.health is not None and self.health.is_dead(peer.rank):
                 return  # the re-arm resets credit state from scratch
             self.counters.add("photon.credit_resends")
-            self.env.process(self._resend_credit(peer, ring_name),
+            self.env.process(self._send_credit(peer, ring_name, True),
                              name="photon:credit-resend")
 
         yield from self._post(peer, wr, None, on_error)
-        self.counters.add("photon.credit_writes")
-
-    def _resend_credit(self, peer: PeerState, ring_name: str):
-        local = peer.local[ring_name]
-        stage = peer.credit_staging[ring_name]
-        self.memory.write_u64(stage, local.credit_sent)
-        nic = self.cluster.params.nic
-        wr = SendWR(opcode=Opcode.RDMA_WRITE, local_addr=stage, length=8,
-                    remote_addr=local.producer_credit_addr,
-                    rkey=local.producer_rkey,
-                    inline=self.config.use_inline and 8 <= nic.max_inline)
-
-        def on_error():
-            if self.health is not None and self.health.is_dead(peer.rank):
-                return
-            self.counters.add("photon.credit_resends")
-            self.env.process(self._resend_credit(peer, ring_name),
-                             name="photon:credit-resend")
-
-        yield from self._post(peer, wr, None, on_error)
+        if not resend:
+            self.counters.add("photon.credit_writes")
 
     # ------------------------------------------------------------- reliability
     def _new_reliable_op(self, peer: PeerState, kind: str,
@@ -574,13 +571,15 @@ class PhotonBase:
         peer = self.peers.get(rank)
         if peer is None:
             return
-        for key in [k for k in self._reliable if k[0] == rank]:
-            op = self._reliable.get(key)
-            if op is not None:
-                self._op_fail(op, WCStatus.PEER_DEAD)
+        self._fail_peer_ops(rank)
         if peer.qp.state is QPState.READY and peer.outstanding > 0:
             peer.qp.teardown()
         self.counters.add("photon.peer_dead_events")
+
+    def _fail_peer_ops(self, rank: int) -> None:
+        """Fail every pending reliable op against ``rank`` (PEER_DEAD)."""
+        for key in [k for k in self._reliable if k[0] == rank]:
+            self._op_fail(self._reliable[key], WCStatus.PEER_DEAD)
 
     # ------------------------------------------------------------- crash
     def crash_local(self) -> None:
@@ -631,16 +630,7 @@ class PhotonBase:
         while self.recv_cq.poll(max_entries=64):
             pass
         for peer in self.peers.values():
-            self._rearm_peer_state(peer)
-            # the crash tore every QP down and the drain above consumed
-            # the flush CQEs, so the RQ really is empty on this side
-            peer.preposted = 0
-            if peer.qp.state is not QPState.READY:
-                peer.qp.reset_and_reconnect()
-            if self.config.use_imm:
-                while peer.preposted < self.config.imm_prepost:
-                    peer.qp.post_recv(RecvWR())
-                    peer.preposted += 1
+            self._rearm_peer(peer)
         self.alive = True
         self.counters.add("photon.rejoins")
 
@@ -653,21 +643,13 @@ class PhotonBase:
         peer = self.peers.get(rank)
         if peer is None:
             return
-        for key in [k for k in self._reliable if k[0] == rank]:
-            op = self._reliable.get(key)
-            if op is not None:
-                self._op_fail(op, WCStatus.PEER_DEAD)
-        self._rearm_peer_state(peer)
-        if peer.qp.state is not QPState.READY:
-            peer.qp.reset_and_reconnect()
-        if self.config.use_imm:
-            while peer.preposted < self.config.imm_prepost:
-                peer.qp.post_recv(RecvWR())
-                peer.preposted += 1
+        self._fail_peer_ops(rank)
+        self._rearm_peer(peer)
         self.counters.add("photon.peer_rearms")
 
-    def _rearm_peer_state(self, peer: PeerState) -> None:
-        """Reset both ring views of one pairing to their bootstrap state."""
+    def _rearm_peer(self, peer: PeerState) -> None:
+        """Reset one pairing to its bootstrap state: both ring views, the
+        QP (reconnected if it is down) and its posted receives."""
         other = self._mesh.get(peer.rank)
         fresh_rkey = (other._ledger_mr.rkey
                       if other is not None and other._ledger_mr is not None
@@ -688,19 +670,14 @@ class PhotonBase:
             self.memory.write_u64(
                 self._layout[(peer.rank, name, "credit_stage")], 0)
         peer.outstanding = 0
-        # deliberately NOT zeroing peer.preposted: if the pairing's QP
-        # was never torn down (peer died with nothing outstanding) the
-        # RQ still holds our posted receives — fungible empty WRs the
-        # new incarnation can consume, so zeroing the counter here would
-        # double-post and overflow the RQ on rearm.  If it *was* torn
-        # down, the flush CQEs decrement the counter through the normal
-        # poll path (possibly after this call), and the poll loop tops
-        # the RQ back up once they drain.
         peer.tx_op_seq = 0
         peer.rx_hwm = 0
         peer.rx_seen.clear()
         for key in [k for k in self._op_results if k[0] == peer.rank]:
             del self._op_results[key]
+        if peer.qp.state is not QPState.READY:
+            peer.qp.reset_and_reconnect()
+        self._top_up_recvs(peer)
 
     def _reconnect_peer(self, peer: PeerState) -> None:
         """Re-arm an errored QP (reliability layer owns reconnection)."""
@@ -778,25 +755,19 @@ class PhotonBase:
             if wcs:
                 for wc in wcs:
                     yield env.timeout(cqe_ns)
-                    peer = self.peers.get(wc.src_rank)
-                    if peer is not None:
-                        peer.preposted -= 1
                     if not wc.ok:
                         self.counters.add("photon.recv_flushes")
+                        peer = self.peers.get(wc.src_rank)
                         if peer is not None:
                             self._reconnect_peer(peer)
                         continue
                     if wc.opcode is WCOpcode.RECV_RDMA_WITH_IMM:
                         self.remote_cids.append((wc.imm, wc.src_rank))
                         self.counters.add("photon.remote_cids")
-                # top preposts back up.  Only needed when this pass reaped
-                # receive completions: every other path that lowers
-                # ``preposted`` (init, reconnect, rejoin) refills inline.
+                # top the RQs back up.  Only needed when this pass reaped
+                # receive completions: init, rearm and rejoin refill inline.
                 for peer in self.peers.values():
-                    if peer.qp.state is QPState.READY:
-                        while peer.preposted < self._imm_prepost:
-                            peer.qp.post_recv(RecvWR())
-                            peer.preposted += 1
+                    self._top_up_recvs(peer)
         # 3) ledger scans — ring state only changes when bytes land in a
         # ring region of this rank's memory (rings are watched ranges, so
         # such writes bump ``watch_version``) and entries are only ever

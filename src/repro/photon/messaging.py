@@ -149,14 +149,18 @@ class MessagingMixin:
             raise SimulationError(
                 f"rank {self.rank}: rendezvous fetch from {info.src} failed "
                 f"after {self.config.max_op_retries + 1} attempts")
-        peer = self._peer(info.src)
-        yield from self._post_ring_entry(
-            peer, "fin",
-            lambda seq: FinEntry(seq=seq, req=info.req).pack())
+        yield from self.send_fin(info.src, info.req)
         if span is not None:
             span.end(self.env.now, retries=_attempt)
         self.counters.add("photon.rendezvous_recvs")
         return info.size
+
+    def send_fin(self, dst: int, req: int):
+        """FIN the sender of a fetched rendezvous buffer, completing its
+        request ``req`` (generator)."""
+        yield from self._post_ring_entry(
+            self._peer(dst), "fin",
+            lambda seq: FinEntry(seq=seq, req=req).pack())
 
     # ------------------------------------------------------------------ unified
     def send_msg(self, dst: int, data: bytes, tag: int = 0,

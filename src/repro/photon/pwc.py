@@ -96,7 +96,7 @@ class PwcMixin:
                     lambda seq: CompletionEntry(
                         seq=seq, cid=remote_cid, src=self.rank,
                         op=op.op_id).pack(),
-                    on_ack=on_ack, on_error=on_error)
+                    on_ack=on_ack, on_error=on_error, op=op)
 
         op.replay = replay
         yield from self._start_attempt(op)
@@ -155,7 +155,7 @@ class PwcMixin:
                 peer, "cmp",
                 lambda seq: CompletionEntry(seq=seq, cid=remote_cid,
                                             src=self.rank, op=op.op_id).pack(),
-                on_ack=on_ack, on_error=on_error)
+                on_ack=on_ack, on_error=on_error, op=op)
 
         op.replay = replay
         yield from self._start_attempt(op)
@@ -167,9 +167,11 @@ class PwcMixin:
 
         Payload must fit the eager limit; larger transfers use the
         rendezvous API (:meth:`send_rdma`).  Surfaces at the target via
-        :meth:`probe_message` as ``(src, remote_cid, payload)``.  Replays
-        land in a fresh eager slot and are deduped at the target by op id.
-        Returns the reliable-op id (None for self-sends).
+        :meth:`probe_message` as ``(src, remote_cid, payload)``.  A replay
+        re-posts the entry into its original eager slot until the target
+        credits that slot; only then does it take a fresh slot, where the
+        target dedups it by op id.  Returns the reliable-op id (None for
+        self-sends).
         """
         if len(data) > self.config.eager_limit:
             raise SimulationError(
@@ -198,7 +200,8 @@ class PwcMixin:
                 return header.pack() + payload + seq.to_bytes(8, "little")
 
             yield from self._post_ring_entry(peer, "eager", build,
-                                             on_ack=on_ack, on_error=on_error)
+                                             on_ack=on_ack, on_error=on_error,
+                                             op=op)
 
         op.replay = replay
         yield from self._start_attempt(op)

@@ -24,23 +24,29 @@ request, or a duplicate reply) are dropped and counted.
 
 Backpressure is credit-based per destination: each in-flight invocation
 to a rank consumes one credit, returned when its reply (or error)
-arrives.  When credits run out the sender either **blocks** (pumping
-the runtime until a credit frees — the default) or **sheds** with
-:class:`CreditExhaustedError` (``on_exhausted="shed"``).
+arrives or the caller abandons the invocation
+(:meth:`~ActiveMessageEngine.abandon`).  When credits run out the sender
+either **blocks** (pumping the runtime until a credit frees — the
+default) or **sheds** with :class:`CreditExhaustedError`
+(``on_exhausted="shed"``).
 
 Handler contract for invoked actions: ``handler(rt, src, payload)``
 returning the reply payload (``bytes``; ``None`` means ``b""``).
 Generator handlers are driven to completion and their *return value* is
 the reply.  A handler raising :class:`~repro.sim.core.SimulationError`
 fails the caller's future with :class:`RemoteActionError` carrying the
-message — errors are data, not silent drops.
+message — errors are data, not silent drops.  A handler may also return
+a :class:`~repro.runtime.lco.Future`: a *deferred reply* (Seriema-style
+continuation) that ships once the future settles, when the rank's poller
+(the KV server loop) next calls ``flush_replies``; a retransmit meanwhile
+gets no reply and runs nothing.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
+from collections import OrderedDict, deque
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Deque, Dict, Optional, Tuple
 
 from ..sim.core import SimulationError
 from ..sim.trace import Counters
@@ -54,6 +60,9 @@ __all__ = ["ActiveMessageEngine", "AmConfig", "CreditExhaustedError",
 AM_REQ = 1
 AM_REP = 2
 AM_ERR = 3
+
+#: ``_served`` entry of a request whose deferred reply is still owed
+_DEFERRED = object()
 
 
 class CreditExhaustedError(SimulationError):
@@ -132,6 +141,8 @@ class ActiveMessageEngine:
         self._credits: Dict[int, int] = {}
         #: src -> OrderedDict(cid -> cached (flags, reply payload))
         self._served: Dict[int, OrderedDict] = {}
+        #: settled deferred replies awaiting :meth:`flush_replies`
+        self.outbox: Deque[Tuple[Parcel, int, bytes]] = deque()
 
     # ------------------------------------------------------------- invoking
     def _take_credit(self, dst: int):
@@ -200,6 +211,19 @@ class ActiveMessageEngine:
             fut.fail(exc)
         return fut
 
+    def abandon(self, fut: Future) -> None:
+        """Give up on an invocation (caller timeout): its credit returns
+        now, and a late reply is dropped as ``am.stale_replies``."""
+        for cid, pending in self._pending.items():
+            if pending.future is fut:
+                del self._pending[cid]
+                self._settle_gauges()
+                self._return_credit(pending.dst)
+                if pending.span is not None:
+                    pending.span.end(self.rt.env.now, status="abandoned")
+                self.counters.add("am.abandoned")
+                return
+
     def _settle_gauges(self) -> None:
         self.counters.set_gauge("am.pending", len(self._pending))
 
@@ -242,10 +266,12 @@ class ActiveMessageEngine:
             served = self._served[parcel.src] = OrderedDict()
         cached = served.get(parcel.cid)
         if cached is not None:
-            # retransmitted request: re-send the cached reply, never
-            # re-run the handler (effectively-once execution)
+            # retransmitted request: re-send the cached reply (nothing,
+            # while a deferred one is still owed), never re-run the
+            # handler (effectively-once execution)
             self.counters.add("am.duplicate_requests")
-            yield from self._reply(parcel, cached[0], cached[1])
+            if cached is not _DEFERRED:
+                yield from self._reply(parcel, *cached)
             return
         yield rt.env.timeout(rt.handler_cost_ns)
         handler = rt.registry.handler(parcel.action)
@@ -253,19 +279,40 @@ class ActiveMessageEngine:
             result = handler(rt, parcel.src, parcel.payload)
             if hasattr(result, "send") and hasattr(result, "throw"):
                 result = yield from result
-            flags = AM_REP
-            payload = b"" if result is None else bytes(result)
+            reply = _DEFERRED if isinstance(result, Future) else (
+                AM_REP, b"" if result is None else bytes(result))
         except SimulationError as exc:
             self.counters.add("am.handler_errors")
-            flags = AM_ERR
-            payload = str(exc).encode()
+            reply = (AM_ERR, str(exc).encode())
         rt.parcels_run += 1
         self.counters.add("rt.parcels_run")
         self.counters.add("am.requests_served")
-        served[parcel.cid] = (flags, payload)
+        served[parcel.cid] = reply
         while len(served) > self.config.dedup_window:
             served.popitem(last=False)
-        yield from self._reply(parcel, flags, payload)
+        if reply is _DEFERRED:
+            self.counters.add("am.deferred")
+            result.on_settle(
+                lambda fut: self._deferred_settled(parcel, served, fut))
+        else:
+            yield from self._reply(parcel, *reply)
+
+    def _deferred_settled(self, parcel: Parcel, served: OrderedDict,
+                          fut: Future) -> None:
+        try:
+            value = fut.get()
+            reply = (AM_REP, b"" if value is None else bytes(value))
+        except SimulationError as exc:
+            self.counters.add("am.handler_errors")
+            reply = (AM_ERR, str(exc).encode())
+        if served.get(parcel.cid) is _DEFERRED:
+            served[parcel.cid] = reply
+        self.outbox.append((parcel,) + reply)
+
+    def flush_replies(self):
+        """Ship every settled deferred reply (generator)."""
+        while self.outbox:
+            yield from self._reply(*self.outbox.popleft())
 
     def _handle_reply(self, parcel: Parcel) -> None:
         pending = self._pending.pop(parcel.cid, None)

@@ -6,7 +6,7 @@ future; the main program waits on it while pumping the runtime.
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Any, Callable, List, Optional
 
 from ..sim.core import SimulationError
 
@@ -23,12 +23,13 @@ class Future:
     (:mod:`repro.runtime.am`).
     """
 
-    __slots__ = ("_value", "_set", "_error")
+    __slots__ = ("_value", "_set", "_error", "_callbacks")
 
     def __init__(self):
         self._value: Any = None
         self._set = False
         self._error: Optional[BaseException] = None
+        self._callbacks: List[Callable[["Future"], None]] = []
 
     @property
     def ready(self) -> bool:
@@ -43,6 +44,8 @@ class Future:
             raise SimulationError("future set twice")
         self._value = value
         self._set = True
+        for fn in self._callbacks:
+            fn(self)
 
     def fail(self, error: BaseException) -> None:
         """Settle the future with an exception instead of a value."""
@@ -50,6 +53,15 @@ class Future:
             raise SimulationError("future set twice")
         self._error = error
         self._set = True
+        for fn in self._callbacks:
+            fn(self)
+
+    def on_settle(self, fn: Callable[["Future"], None]) -> None:
+        """Run ``fn(future)`` once the future settles (now, if it has)."""
+        if self._set:
+            fn(self)
+        else:
+            self._callbacks.append(fn)
 
     def get(self) -> Any:
         if not self._set:

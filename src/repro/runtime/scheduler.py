@@ -73,8 +73,7 @@ class Runtime:
             raise SimulationError(
                 "active messages not enabled on this runtime "
                 "(call enable_am() or build_runtime(..., am=True))")
-        fut = yield from self.am.invoke(dst, action, payload)
-        return fut
+        return (yield from self.am.invoke(dst, action, payload))
 
     # ------------------------------------------------------------------ run
     def _dispatch(self, parcel: Parcel):

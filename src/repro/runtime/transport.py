@@ -385,16 +385,9 @@ class PhotonTransport:
             yield self.ph.env.timeout(
                 self.ph.memory.memcpy_cost_ns(info.size))
             self._free_landings.append(idx)
-            yield from self._send_fin(info)
+            yield from self.ph.send_fin(info.src, info.req)
             return raw
         return None
-
-    def _send_fin(self, info):
-        """Complete the sender's rendezvous request (generator)."""
-        from ..photon.wire import FinEntry
-        peer = self.ph._peer(info.src)
-        yield from self.ph._post_ring_entry(
-            peer, "fin", lambda seq: FinEntry(seq=seq, req=info.req).pack())
 
     def stats(self) -> Dict[str, object]:
         """JSON-serializable transport snapshot (obs report section)."""

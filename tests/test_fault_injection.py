@@ -19,6 +19,7 @@ from repro.cluster import build_cluster
 from repro.minimpi import mpi_init
 from repro.photon import PhotonConfig, photon_init
 from repro.sim import SimulationError
+from repro.verbs.qp import RecvWR
 
 TIMEOUT = 10 ** 12
 
@@ -264,8 +265,10 @@ def test_retry_exhaustion_surfaces_error_not_hang():
 
 
 def test_replayed_entries_deduped_exactly_once():
-    """Completion-ledger puts under heavy loss: replays produce duplicate
-    ledger entries, the target dedups them, delivery is exactly-once."""
+    """Completion-ledger puts under heavy loss: a replay re-posts its
+    ledger entry into the slot the first attempt claimed (a fresh slot
+    would duplicate an already-delivered entry, which the target must
+    dedup), and delivery is exactly-once."""
     cl = real_loss_cluster(drop=0.05, seed=1)
     # use_imm=False routes the completion through a second ledger write,
     # the path where a replay can duplicate an already-delivered entry
@@ -275,7 +278,8 @@ def test_replayed_entries_deduped_exactly_once():
     assert len(statuses) == n and all(s.name == "SUCCESS" for s in statuses)
     assert sorted(got) == list(range(1, n + 1))  # exactly once, all of them
     assert cl.counters.get("photon.op_retries") > 0
-    assert cl.counters.get("photon.dup_drops") > 0
+    # every replay landed in its original slot: the ring carried n entries
+    assert ph[0].peers[1].remote["cmp"].produced == n
     # lost ledger writes were repaired in place (ring liveness)
     assert cl.counters.get("photon.entry_drops") == 0
 
@@ -442,3 +446,68 @@ def test_qp_reconnect_under_rapid_flaps():
     assert ph[0].rcache.hits - hits_before >= 5
     cl.env.run(until=2_000_000)
     assert cl.topology.link("up0").chaos is None
+
+
+def test_replay_across_a_partition_fills_its_ledger_hole():
+    """An eager send posted into a partition on a reliable fabric (no
+    NIC ARQ: the write neither lands nor errors) is replayed after its
+    op deadline.  The replay must re-post into the slot the lost write
+    claimed — a fresh slot would leave a hole the consumer, draining
+    strictly in sequence, waits on forever, and the ring would fill.
+    After the heal every later message must drain."""
+    cl = build_cluster(2, params="ib-fdr", seed=3)
+    ph = photon_init(cl, PhotonConfig(op_timeout_ns=100_000))
+    n_after = 3 * ph[0].config.eager_slots
+    got = []
+
+    def sender(env):
+        yield from ph[0].send_pwc(1, b"before", remote_cid=1, local_cid=1)
+        yield from ph[0].wait_completion("local", timeout_ns=TIMEOUT)
+        cl.topology.partition([0], [1])
+        yield from ph[0].send_pwc(1, b"lost", remote_cid=2)
+        # drive the deadline scan past the op timeout, then heal
+        while cl.counters.get("photon.op_retries") == 0:
+            yield from ph[0].probe_completion()
+            yield env.timeout(10_000)
+        cl.topology.heal()
+        for i in range(n_after):
+            yield from ph[0].send_pwc(1, b"m%d" % i, remote_cid=3)
+
+    def receiver(env):
+        while len(got) < n_after + 2:
+            msg = yield from ph[1].wait_message(timeout_ns=5_000_000)
+            if msg is None:
+                return
+            got.append(msg[2])
+
+    cl.env.process(sender(cl.env))
+    recv = cl.env.process(receiver(cl.env))
+    cl.env.run(until=recv)
+    assert got[:2] == [b"before", b"lost"]
+    assert got[2:] == [b"m%d" % i for i in range(n_after)]
+    assert cl.counters.get("photon.op_retries") >= 1
+    assert ph[0].peers[1].remote["eager"].produced == n_after + 2
+
+
+def test_rejoin_tops_up_only_what_the_rq_lacks():
+    """A crashed rank's QP can be READY again with receives already
+    posted by the time it rejoins (the survivor re-armed the pair
+    first).  Rejoin must post only the missing receives: topping up
+    from a separate count of what it believes is posted overflows the
+    RQ with QueueFullError."""
+    cl = build_cluster(2, params="ib-fdr", seed=5)
+    ph = photon_init(cl)
+    cfg = ph[0].config
+    qp = ph[0].peers[1].qp
+
+    def scenario(env):
+        ph[0].crash_local()
+        # the pair comes back up and half the receives are reposted
+        # before the crashed side runs its own rejoin
+        qp.reset_and_reconnect()
+        for _ in range(cfg.imm_prepost // 2):
+            qp.post_recv(RecvWR())
+        yield from ph[0].rejoin()
+
+    cl.env.run(until=cl.env.process(scenario(cl.env)))
+    assert qp.rq_posted == cfg.imm_prepost

@@ -34,6 +34,7 @@ from repro.kv.workload import WorkloadStats, ZipfKeys
 from repro.obs.report import build_snapshot
 from repro.photon import photon_init
 from repro.runtime.health import HealthConfig, build_health
+from repro.runtime.lco import Future
 from repro.sim.rng import RngRegistry
 
 from tests.test_determinism_golden import (GOLDEN, _photon_clean_workload,
@@ -714,22 +715,49 @@ def test_onesided_version_regression_falls_back_to_rpc():
     assert out["stats"].rpc_reads == 1
 
 
-def test_hub_gc_sweeps_unclaimed_responses():
-    from repro.kv.store import pack_response
+def test_timed_out_attempt_abandons_its_invoke():
+    """An attempt whose reply outlives the client's timeout abandons its
+    invoke — the credit comes back at once — and the client fails over;
+    the late reply then finds no caller and is dropped as stale, so
+    nothing leaks into the AM pending table or the credit pool."""
+    from repro.kv.store import RESP_OK, pack_reply
 
     def body(env, cl, nodes, out):
-        c = KVClient(nodes[0], client_id=9)
-        yield from c.put(b"gc", b"v")
-        # a response no client will ever claim — e.g. a duplicate answer
-        # to a retried attempt that already completed
-        nodes[0].handle_response(0, pack_response(0, 0, 999, 1, b"zombie"))
-        assert (999, 1) in nodes[0].hub
-        yield env.timeout(3 * nodes[0].config.hub_ttl_ns)
-        out["backlog"] = dict(nodes[0].hub)
+        c = KVClient(nodes[0], client_id=9, timeout_ns=200_000)
+        am = nodes[0].runtime.am
+        leader = next(n.rank for n in nodes if n.is_leader(0))
+        slow = nodes[leader]
+        real = slow.handle_request
 
-    _cl, _nodes, out = _run_kv(body)
-    assert (999, 1) not in out["backlog"]
-    assert out["backlog"] == {}
+        def answer_late(src, payload):
+            # the write still proposes; only its reply is held back
+            real(src, payload)
+            slow.handle_request = real
+            late = Future()
+            env.process(_settle_after(env, late, 300_000,
+                                      pack_reply(RESP_OK, leader)),
+                        name="kv.test.late")
+            return late
+
+        slow.handle_request = answer_late
+        out["put"] = yield from c.put(b"late", b"v")
+        yield env.timeout(400_000)
+        out["timeouts"] = c.stats.timeouts
+        out["pending"] = am.pending
+        out["credits"] = am.credits(leader)
+        out["stale"] = cl.counters.get("am.stale_replies")
+        out["abandoned"] = cl.counters.get("am.abandoned")
+
+    def _settle_after(env, fut, delay_ns, reply):
+        yield env.timeout(delay_ns)
+        fut.set(reply)
+
+    cl, nodes, out = _run_kv(body)
+    assert out["put"] == ST_OK
+    assert out["timeouts"] == 1 and out["abandoned"] == 1
+    assert out["pending"] == 0
+    assert out["credits"] == nodes[0].runtime.am.config.credits_per_dest
+    assert out["stale"] == 1
 
 
 def test_redirect_bounce_backs_off_instead_of_burning_attempts():
@@ -737,22 +765,20 @@ def test_redirect_bounce_backs_off_instead_of_burning_attempts():
     the whole attempt budget at wire speed: after the first followed
     hint every further redirect pays the same exponential backoff as
     the hint-less path, so the retry loop outlives an election."""
-    from repro.kv.store import RESP_FAIL, RESP_NOT_LEADER
+    from repro.kv.store import RESP_FAIL, RESP_NOT_LEADER, pack_reply
 
     cl = build_cluster(2, "ib-fdr", seed=41)
     env = cl.env
-    hub = {}
     sends = {"n": 0}
 
     class _Runtime:
         @staticmethod
-        def send(dst, action, payload):
+        def invoke(dst, action, payload):
             sends["n"] += 1
-            from repro.kv.store import unpack_request
-            _kind, client, seq, _group, _epoch, _body = \
-                unpack_request(payload)
-            hub[(client, seq)] = (RESP_NOT_LEADER, 1 - dst, b"", env.now)
             yield env.timeout(50)
+            reply = Future()
+            reply.set(pack_reply(RESP_NOT_LEADER, 1 - dst))
+            return reply
 
     class _Photon:
         @staticmethod
@@ -761,7 +787,6 @@ def test_redirect_bounce_backs_off_instead_of_burning_attempts():
 
     node = type("N", (), {})()
     node.env = env
-    node.hub = hub
     node.runtime = _Runtime()
     node.photon = _Photon()
     node.config = type("C", (), {"slot_size": 160})()
@@ -783,6 +808,55 @@ def test_redirect_bounce_backs_off_instead_of_burning_attempts():
     # without backoff 24 wire-speed hops take ~1 µs; with it the loop
     # spans well over a millisecond — longer than a leaderless window
     assert out["elapsed"] >= 1_000_000
+
+
+@pytest.mark.parametrize("reseed", [False, True])
+def test_chaos_mid_apply_stops_the_apply_pass(reseed):
+    """A crash (or a crash plus reseed) that lands while the server loop
+    sleeps off an apply's cost must end that group's pass: the loop may
+    neither trip over the replica dict changing under it nor apply the
+    dead incarnation's entries into the reseeded replica."""
+    def body(env, cl, nodes, out):
+        follower = next(n for n in nodes if not n.is_leader(0))
+        sm = follower.machines[0]
+        real_apply = sm.apply
+
+        def apply_then_crash(cmd):
+            sm.apply = real_apply
+
+            def chaos(env):
+                yield env.timeout(1)  # inside the apply-cost sleep
+                follower.photon.crash_local()
+                follower.on_crash()
+                if reseed:
+                    follower.reseed()
+            env.process(chaos(env), name="kv.test.chaos")
+            return real_apply(cmd)
+
+        sm.apply = apply_then_crash
+        # two concurrent writes commit in one round, so the follower
+        # applies both in one pass and the chaos lands between them
+        home = nodes[-1] if nodes[-1] is not follower else nodes[0]
+        puts = [env.process(KVClient(home, client_id=3 + i).put(
+            b"mid%d" % i, b"apply"), name=f"kv.test.put{i}")
+            for i in range(2)]
+        yield env.all_of(puts)
+        out["put"] = [p.value for p in puts]
+        # followers learn the commit from the next heartbeat round
+        yield env.timeout(300_000)
+        out["follower"] = follower
+        out["applied"] = sm.apply is real_apply
+
+    _cl, _nodes, out = _run_kv(body)
+    assert out["put"] == [ST_OK, ST_OK]
+    follower = out["follower"]
+    assert out["applied"]  # the chaos fired mid-apply
+    if reseed:
+        # the reborn replica holds nothing from the dead pass
+        assert follower.machines[0].data == {}
+        assert follower._slot_of[0] == {} and 0 not in follower.tables
+    else:
+        assert follower.raft == {}
 
 
 # --------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.bench.experiments import r21_snapshots
 from repro.bench.experiments.r21_snapshots import (COMPACT_MARGIN,
                                                    COMPACT_THRESHOLD,
                                                    SAMPLER_SLACK,
@@ -103,6 +104,23 @@ def test_live_move_is_invisible_in_the_ack_ledger(leader_crash):
 def test_membership_monotonic_on_every_monitor(scen, request):
     for mon in request.getfixturevalue(scen)["monitors"]:
         check_membership_monotonic(mon)
+
+
+@pytest.mark.parametrize("seed,crash", [
+    # a replayed eager send left a ledger hole on a rank to a partitioned
+    # peer; its ring filled and its Raft groups stopped ticking
+    pytest.param(2, "leader", id="seed2-leader"),
+    # chaos landed mid-apply: the apply pass iterated a replica dict the
+    # crash cleared under it
+    pytest.param(4, "follower", id="seed4-follower"),
+])
+def test_pinned_chaos_seed_passes_every_check(seed, crash):
+    """Pinned reproducers from the R21 seed sweep (tests/kv_sweep.py):
+    both failed before the fix named next to them."""
+    scenario = run_chaos_move(quick=True, seed=seed, crash=crash)
+    result = r21_snapshots.run(quick=True, scenario=scenario)
+    failed = [name for name, ok in result.checks.items() if not ok]
+    assert failed == []
 
 
 def test_log_bound_checker_rejects_an_overrun():
